@@ -153,6 +153,9 @@ type Request struct {
 	rootPkt  *packet
 	rootDest int
 	done     bool
+	// doneAt is the first delivery's wall time, written under reqMu before
+	// the answer is sent, so a receiver of resultCh may read it.
+	doneAt time.Time
 }
 
 // ID is the request's stream index.
@@ -411,8 +414,9 @@ func (c *Cluster) deliverRoot(root stamp.Stamp, v expr.Value) {
 	c.reqMu.Lock()
 	r := c.reqs[id]
 	first := r != nil && !r.done
-	if r != nil {
+	if first {
 		r.done = true
+		r.doneAt = time.Now()
 	}
 	hook := c.onReqDone
 	c.reqMu.Unlock()

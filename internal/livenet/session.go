@@ -219,12 +219,14 @@ func (s *session) onRequestDone() {
 	}
 	lr := s.queue[0]
 	s.queue = s.queue[1:]
+	// Stamped before Submit: the answer, and with it doneAt, may arrive
+	// before Submit returns.
+	lr.arrived = time.Now()
 	r, err := s.c.Submit(lr.w.Program, lr.w.Fn, lr.w.Args)
 	if err == nil {
 		s.inflight++
 	}
 	lr.r, lr.admitErr = r, err
-	lr.arrived = time.Now()
 	close(lr.admitCh)
 }
 
@@ -425,7 +427,6 @@ func (lr *liveRequest) Wait() (*core.Report, error) {
 				waitErr = errors.New("livenet: request budget already spent")
 			}
 		}
-		done := time.Now()
 		rep := lr.baseReport()
 		rep.Request = lr.r.ID()
 		rep.ArrivedAt = lr.arrived.Sub(s.start).Microseconds()
@@ -433,10 +434,11 @@ func (lr *liveRequest) Wait() (*core.Report, error) {
 		if waitErr == nil {
 			rep.Completed = true
 			rep.Answer = v
-			rep.DoneAt = done.Sub(s.start).Microseconds()
+			// Stamped at delivery, not here: the caller may look late.
+			rep.DoneAt = lr.r.doneAt.Sub(s.start).Microseconds()
 			rep.Makespan = rep.DoneAt - rep.ArrivedAt
 		} else {
-			rep.Makespan = done.Sub(s.start).Microseconds() - rep.ArrivedAt
+			rep.Makespan = time.Since(s.start).Microseconds() - rep.ArrivedAt
 		}
 		lr.rep = rep
 	})

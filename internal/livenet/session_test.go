@@ -3,6 +3,7 @@ package livenet
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -133,4 +134,28 @@ func TestLiveSessionRejectsCumulativeKillAll(t *testing.T) {
 
 func fibArgs(n int64) []expr.Value {
 	return []expr.Value{expr.VInt(n)}
+}
+
+// TestLiveMakespanStampedAtDelivery: a request's completion time is when
+// its answer arrived, not when the caller got round to Wait. A caller that
+// looks late must still see the request's own service latency.
+func TestLiveMakespanStampedAtDelivery(t *testing.T) {
+	const late = 200 * time.Millisecond
+	cl, err := core.OpenOn("live", core.Config{Procs: 4, Seed: 3, Recovery: "rollback"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tk, err := cl.SubmitSpec("fib:5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(late)
+	rep, err := tk.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Makespan >= (late / 2).Microseconds() {
+		t.Fatalf("makespan %d µs includes the caller's %v delay before Wait", rep.Makespan, late)
+	}
 }

@@ -285,16 +285,15 @@ func New(cfg Config, prog *lang.Program) (*Machine, error) {
 	return m, nil
 }
 
-// wireProc pins a processor to its shard and seeds its private determinism
-// streams (RNG, generation/replica counters live on the proc itself). The
-// streams are per-processor rather than per-kernel so their consumption
-// order — and hence every value drawn — is independent of which processors
-// share a shard.
+// wireProc pins a processor to its shard. Its private determinism streams
+// (RNG, generation/replica counters) live on the proc itself, per-processor
+// rather than per-kernel, so their consumption order — and hence every value
+// drawn — is independent of which processors share a shard. The RNG is
+// seeded lazily by proc.Rand.
 func (m *Machine) wireProc(p *proc, idx int, home int32) {
 	p.idx = idx
 	p.sc = m.shards[home]
 	p.k = p.sc.k
-	p.rng = cachedRand(mixSeed(m.cfg.Seed, idx))
 	p.failedAt = -1
 }
 

@@ -38,7 +38,7 @@ type proc struct {
 
 	// rng is the processor's private randomness stream: per-processor
 	// rather than per-kernel so the draw sequence is independent of which
-	// processors share a shard.
+	// processors share a shard. Nil until the first draw (see Rand).
 	rng *rand.Rand
 
 	// genSeq and repSeq drive the processor's private generation and
@@ -225,8 +225,15 @@ func (p *proc) IsFaulty(q proto.ProcID) bool { return p.isFaulty(q) }
 // faulty bitmap by declareFaulty.
 func (p *proc) FaultyCount() int { return p.faultyN }
 
-// Rand implements balance.View.
-func (p *proc) Rand() *rand.Rand { return p.rng }
+// Rand implements balance.View. The source is seeded on the first draw:
+// rand.NewSource runs a 607-step warm-up, which processors that never draw
+// (every proc in a fault-free run under non-random placement) never pay.
+func (p *proc) Rand() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(mixSeed(p.m.cfg.Seed, p.idx)))
+	}
+	return p.rng
+}
 
 // freshRep allocates a replica lineage id (never 0; 0 means the original
 // lineage). The stream is private to this processor and strided by its
@@ -926,7 +933,7 @@ func (p *proc) randomLive() proto.ProcID {
 	// Drawn from the processor's private stream, not the kernel's: the
 	// kernel RNG is per shard, so using it would make relay targets (and
 	// with them whole recovery schedules) depend on the shard count.
-	k := p.rng.Intn(live)
+	k := p.Rand().Intn(live)
 	if live == p.m.n {
 		return proto.ProcID(k)
 	}

@@ -258,12 +258,14 @@ func (s *session) onRequestDone() {
 	}
 	nr := s.queue[0]
 	s.queue = s.queue[1:]
+	// Stamped before Submit: the answer, and with it doneAt, may arrive
+	// before Submit returns.
+	nr.arrived = time.Now()
 	r, err := s.c.Submit(nr.w.Program, nr.w.Fn, nr.w.Args)
 	if err == nil {
 		s.inflight++
 	}
 	nr.r, nr.admitErr = r, err
-	nr.arrived = time.Now()
 	close(nr.admitCh)
 }
 
@@ -444,7 +446,6 @@ func (nr *netRequest) Wait() (*core.Report, error) {
 				waitErr = errors.New("netnode: request budget already spent")
 			}
 		}
-		done := time.Now()
 		rep := nr.baseReport()
 		rep.Request = nr.r.ID()
 		rep.ArrivedAt = nr.arrived.Sub(s.start).Microseconds()
@@ -452,10 +453,11 @@ func (nr *netRequest) Wait() (*core.Report, error) {
 		if waitErr == nil {
 			rep.Completed = true
 			rep.Answer = v
-			rep.DoneAt = done.Sub(s.start).Microseconds()
+			// Stamped at delivery, not here: the caller may look late.
+			rep.DoneAt = nr.r.doneAt.Sub(s.start).Microseconds()
 			rep.Makespan = rep.DoneAt - rep.ArrivedAt
 		} else {
-			rep.Makespan = done.Sub(s.start).Microseconds() - rep.ArrivedAt
+			rep.Makespan = time.Since(s.start).Microseconds() - rep.ArrivedAt
 		}
 		nr.rep = rep
 	})

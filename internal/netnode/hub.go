@@ -26,6 +26,9 @@ type Request struct {
 	rootProg uint16
 	rootDest proto.ProcID
 	done     bool
+	// doneAt is the first delivery's wall time, written under reqMu before
+	// the answer is sent, so a receiver of resultCh may read it.
+	doneAt time.Time
 }
 
 // ID is the request's stream index.
@@ -471,8 +474,9 @@ func (c *Cluster) onRootResult(payload []byte) {
 	c.reqMu.Lock()
 	r := c.reqs[id]
 	first := r != nil && !r.done
-	if r != nil {
+	if first {
 		r.done = true
+		r.doneAt = time.Now()
 	}
 	hook := c.onReqDone
 	c.reqMu.Unlock()

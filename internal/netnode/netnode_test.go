@@ -513,3 +513,26 @@ func TestNetMatchesSimAnswer(t *testing.T) {
 		t.Fatalf("per-node stats = %v, want 4 entries", netRep.ReissuesByNode)
 	}
 }
+
+// TestNetMakespanStampedAtDelivery: a request's completion time is when its
+// answer reached the hub, not when the caller got round to Wait.
+func TestNetMakespanStampedAtDelivery(t *testing.T) {
+	const late = 200 * time.Millisecond
+	cl, err := core.OpenOn("net", core.Config{Procs: 3, Seed: 3, Recovery: "rollback"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tk, err := cl.SubmitSpec("fib:5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(late)
+	rep, err := tk.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Makespan >= (late / 2).Microseconds() {
+		t.Fatalf("makespan %d µs includes the caller's %v delay before Wait", rep.Makespan, late)
+	}
+}
