@@ -6,19 +6,28 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/wall"
 )
 
-func TestFaultFreeLiveRun(t *testing.T) {
-	prog := lang.Fib()
-	c, err := New(prog, 4, 1)
+// start brings up an n-node rollback cluster and submits one root.
+func start(t *testing.T, n int, seed int64, prog *lang.Program, fn string, arg int64) (*Cluster, *wall.Request) {
+	t.Helper()
+	c, err := New(n, seed, true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Shutdown()
-	if err := c.Start("fib", []expr.Value{expr.VInt(14)}); err != nil {
+	r, err := c.Submit(prog, fn, []expr.Value{expr.VInt(arg)})
+	if err != nil {
+		c.Shutdown()
 		t.Fatal(err)
 	}
-	v, err := c.Wait(30 * time.Second)
+	return c, r
+}
+
+func TestFaultFreeLiveRun(t *testing.T) {
+	c, r := start(t, 4, 1, lang.Fib(), "fib", 14)
+	defer c.Shutdown()
+	v, err := c.WaitRequest(r, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,21 +44,14 @@ func TestFaultFreeLiveRun(t *testing.T) {
 }
 
 func TestLiveRunSurvivesKill(t *testing.T) {
-	prog := lang.Fib()
-	c, err := New(prog, 6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, r := start(t, 6, 2, lang.Fib(), "fib", 17)
 	defer c.Shutdown()
-	if err := c.Start("fib", []expr.Value{expr.VInt(17)}); err != nil {
-		t.Fatal(err)
-	}
 	// Let the tree unfold a little, then crash a node under real load.
 	time.Sleep(5 * time.Millisecond)
 	if err := c.Kill(2); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Wait(60 * time.Second)
+	v, err := c.WaitRequest(r, 60*time.Second)
 	if err != nil {
 		spawned, reissued, drained := c.Stats()
 		t.Fatalf("no answer after kill: %v (spawned=%d reissued=%d drained=%d)",
@@ -61,21 +63,14 @@ func TestLiveRunSurvivesKill(t *testing.T) {
 }
 
 func TestLiveRunSurvivesRootNodeKill(t *testing.T) {
-	prog := lang.Fib()
-	c, err := New(prog, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, r := start(t, 4, 3, lang.Fib(), "fib", 15)
 	defer c.Shutdown()
-	if err := c.Start("fib", []expr.Value{expr.VInt(15)}); err != nil {
-		t.Fatal(err)
-	}
 	time.Sleep(2 * time.Millisecond)
 	// Node 0 hosts the root: the cluster (super-root) must reissue it.
 	if err := c.Kill(0); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Wait(60 * time.Second)
+	v, err := c.WaitRequest(r, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +80,8 @@ func TestLiveRunSurvivesRootNodeKill(t *testing.T) {
 }
 
 func TestLiveRunSurvivesTwoKills(t *testing.T) {
-	prog := lang.TreeSum(3)
-	c, err := New(prog, 6, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, r := start(t, 6, 4, lang.TreeSum(3), "tree", 7)
 	defer c.Shutdown()
-	if err := c.Start("tree", []expr.Value{expr.VInt(7)}); err != nil {
-		t.Fatal(err)
-	}
 	time.Sleep(3 * time.Millisecond)
 	if err := c.Kill(1); err != nil {
 		t.Fatal(err)
@@ -102,7 +90,7 @@ func TestLiveRunSurvivesTwoKills(t *testing.T) {
 	if err := c.Kill(4); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Wait(60 * time.Second)
+	v, err := c.WaitRequest(r, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +100,7 @@ func TestLiveRunSurvivesTwoKills(t *testing.T) {
 }
 
 func TestKillValidation(t *testing.T) {
-	c, err := New(lang.Fib(), 2, 5)
+	c, err := New(2, 5, true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +117,21 @@ func TestKillValidation(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(lang.Fib(), 1, 1); err == nil {
+	if _, err := New(1, 1, true, ""); err == nil {
 		t.Error("single-node cluster accepted")
 	}
-	c, err := New(lang.Fib(), 2, 1)
+	if _, err := New(2, 1, true, "nosuch"); err == nil {
+		t.Error("unknown evaluator accepted")
+	}
+	c, err := New(2, 1, true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	if err := c.Start("nosuch", nil); err == nil {
+	if _, err := c.Submit(lang.Fib(), "nosuch", nil); err == nil {
 		t.Error("unknown function accepted")
+	}
+	if _, err := c.Submit(nil, "fib", nil); err == nil {
+		t.Error("nil program accepted")
 	}
 }

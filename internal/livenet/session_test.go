@@ -3,12 +3,12 @@ package livenet
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/lang"
+	"repro/internal/wall"
 )
 
 // TestLiveServiceStream serves a batch of mixed workloads through one open
@@ -77,12 +77,12 @@ func TestLiveServiceStream(t *testing.T) {
 // cluster (the root's parent) must reissue it and still answer.
 func TestLiveSessionRootReissue(t *testing.T) {
 	prog := lang.Fib()
-	c, err := New(prog, 4, 5)
+	c, err := New(4, 5, true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	var reqs []*Request
+	var reqs []*wall.Request
 	for i := 0; i < 4; i++ {
 		r, err := c.Submit(prog, "fib", fibArgs(12))
 		if err != nil {
@@ -134,28 +134,4 @@ func TestLiveSessionRejectsCumulativeKillAll(t *testing.T) {
 
 func fibArgs(n int64) []expr.Value {
 	return []expr.Value{expr.VInt(n)}
-}
-
-// TestLiveMakespanStampedAtDelivery: a request's completion time is when
-// its answer arrived, not when the caller got round to Wait. A caller that
-// looks late must still see the request's own service latency.
-func TestLiveMakespanStampedAtDelivery(t *testing.T) {
-	const late = 200 * time.Millisecond
-	cl, err := core.OpenOn("live", core.Config{Procs: 4, Seed: 3, Recovery: "rollback"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	tk, err := cl.SubmitSpec("fib:5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(late)
-	rep, err := tk.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Makespan >= (late / 2).Microseconds() {
-		t.Fatalf("makespan %d µs includes the caller's %v delay before Wait", rep.Makespan, late)
-	}
 }

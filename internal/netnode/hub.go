@@ -9,30 +9,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/registry"
-	"repro/internal/stamp"
+	"repro/internal/wall"
 )
-
-// Request is one submitted root application: the cluster retains its root
-// packet (the super-root pre-evaluation checkpoint of §4.3.1) and routes
-// its answer to a private channel.
-type Request struct {
-	id       uint32
-	resultCh chan expr.Value
-	rootPkt  *proto.TaskPacket
-	rootProg uint16
-	rootDest proto.ProcID
-	done     bool
-	// doneAt is the first delivery's wall time, written under reqMu before
-	// the answer is sent, so a receiver of resultCh may read it.
-	doneAt time.Time
-}
-
-// ID is the request's stream index.
-func (r *Request) ID() int { return int(r.id) }
 
 // sendq is an unbounded FIFO of outbound frames for one child. The router
 // goroutines enqueue without ever blocking: if writes to children were
@@ -110,7 +92,18 @@ type child struct {
 // Cluster is a process-per-node machine: N child processes dialed into the
 // parent's socket, the parent routing frames between them and acting as the
 // super-root.
+//
+// The Host's stream counters count protocol frames (spawn, result,
+// node-down) the router carried, in real frame wire sizes — program
+// broadcasts and supervision traffic (hello, heartbeat, stats, shutdown)
+// are not interconnect load, matching the resident-code model of the other
+// backends. Spawned counts non-reissue spawn frames; Reissued the
+// FlagReissue ones. Drained counts frames black-holed at dead nodes plus
+// the child-local drains the stats frames report at graceful shutdown (a
+// SIGKILLed node's local drains die with it — honest accounting: nothing a
+// dead processor counted can be read back).
 type Cluster struct {
+	*wall.Host
 	n       int
 	seed    int64
 	recov   bool
@@ -125,34 +118,9 @@ type Cluster struct {
 	// progMu guards the program table; programs ship once, by index.
 	progMu  sync.Mutex
 	progs   []*lang.Program
-	progIdx map[*lang.Program]uint16
-
-	// reqMu guards the request table and each request's rootDest/done;
-	// deliverRoot and the death handler both take it, so a root reissue can
-	// never race its own completion.
-	reqMu     sync.Mutex
-	reqs      map[uint32]*Request
-	nextReq   uint32
-	onReqDone func()
-
-	// Stream counters. msgs/msgBytes count protocol frames (spawn, result,
-	// node-down) the router carried, in real frame wire sizes — program
-	// broadcasts and supervision traffic (hello, heartbeat, stats, shutdown)
-	// are not interconnect load, matching the resident-code model of the
-	// other backends. Spawned counts non-reissue spawn frames; reissued the
-	// FlagReissue ones. Drained counts frames black-holed at dead nodes plus
-	// the child-local drains the stats frames report at graceful shutdown
-	// (a SIGKILLed node's local drains die with it — honest accounting:
-	// nothing a dead processor counted can be read back).
-	msgs      atomic.Int64
-	msgBytes  atomic.Int64
-	spawned   atomic.Int64
-	reissued  atomic.Int64
-	drained   atomic.Int64
-	killsSeen atomic.Int64
+	progIdx map[*lang.Program]int
 
 	closing atomic.Bool
-	quit    chan struct{}
 	wg      sync.WaitGroup
 }
 
@@ -161,9 +129,8 @@ type Options struct {
 	// TCP switches the interconnect from a unix socket in a temp directory
 	// to a loopback TCP listener.
 	TCP bool
-	// NoRecovery disables rollback reissue (the "none" scheme): deaths are
-	// still announced, survivors just don't reissue, and lost work stays
-	// lost.
+	// NoRecovery selects the "none" scheme: deaths are not announced and
+	// roots are not reissued, so lost work stays lost.
 	NoRecovery bool
 	// Eval names the evaluator the node processes run reduction passes
 	// with ("" = lang.DefaultEvaluator); it travels to children in the
@@ -191,10 +158,9 @@ func New(n int, seed int64, opts Options) (*Cluster, error) {
 		seed:    seed,
 		recov:   !opts.NoRecovery,
 		eval:    eval,
-		reqs:    map[uint32]*Request{},
-		progIdx: map[*lang.Program]uint16{},
-		quit:    make(chan struct{}),
+		progIdx: map[*lang.Program]int{},
 	}
+	c.Host = wall.NewHost("netnode", n, c)
 	if opts.TCP {
 		c.network = "tcp"
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -249,7 +215,7 @@ func (c *Cluster) writer(ch *child) {
 func (c *Cluster) startChildren() error {
 	byID := make([]*child, c.n)
 	for i := 0; i < c.n; i++ {
-		proc, err := startNodeProc(i, c.n, c.seed, c.network, c.addr, c.recov, c.eval)
+		proc, err := startNodeProc(i, c.n, c.seed, c.network, c.addr, c.eval)
 		if err != nil {
 			return fmt.Errorf("netnode: start node %d: %w", i, err)
 		}
@@ -308,29 +274,21 @@ func (c *Cluster) Pids() []int {
 	return out
 }
 
-// SetRequestDoneHook runs fn after a request's *first* root delivery,
-// outside reqMu (it may re-enter Submit) — the bounded-admission contract
-// shared with livenet.
-func (c *Cluster) SetRequestDoneHook(fn func()) {
-	c.reqMu.Lock()
-	c.onReqDone = fn
-	c.reqMu.Unlock()
-}
-
-// shipProgram assigns the program an index and broadcasts its source to
-// every live node, once. Children that die later simply lose the code with
-// everything else.
-func (c *Cluster) shipProgram(prog *lang.Program) (uint16, error) {
+// Load implements wall.Links: assign the program an index and broadcast
+// its source to every live node, once. Children that die later simply lose
+// the code with everything else. The hub never evaluates, so it compiles
+// nothing.
+func (c *Cluster) Load(prog *lang.Program) (int, lang.EvalProgram, error) {
 	c.progMu.Lock()
 	defer c.progMu.Unlock()
 	if idx, ok := c.progIdx[prog]; ok {
-		return idx, nil
+		return idx, nil, nil
 	}
 	if len(c.progs) > 0xffff {
-		return 0, errors.New("netnode: program table full")
+		return 0, nil, errors.New("netnode: program table full")
 	}
-	idx := uint16(len(c.progs))
-	payload := programPayload(idx, lang.Format(prog))
+	idx := len(c.progs)
+	payload := programPayload(uint16(idx), lang.Format(prog))
 	for _, ch := range c.children {
 		if !ch.alive.Load() {
 			continue
@@ -345,60 +303,35 @@ func (c *Cluster) shipProgram(prog *lang.Program) (uint16, error) {
 	}
 	c.progs = append(c.progs, prog)
 	c.progIdx[prog] = idx
-	return idx, nil
+	return idx, nil, nil
 }
 
-// Submit enqueues one root application: ship the program if new, retain the
-// root packet as the super-root checkpoint, and spawn it on a live node
-// (round-robin by stream index, like livenet).
-func (c *Cluster) Submit(prog *lang.Program, fn string, args []expr.Value) (*Request, error) {
-	if prog == nil {
-		return nil, errors.New("netnode: program required")
-	}
-	if _, ok := prog.Func(fn); !ok {
-		return nil, fmt.Errorf("netnode: unknown function %q", fn)
-	}
-	idx, err := c.shipProgram(prog)
-	if err != nil {
-		return nil, err
-	}
-	c.reqMu.Lock()
-	id := c.nextReq
-	c.nextReq++
-	root := &proto.TaskPacket{
-		Key:    proto.TaskKey{Stamp: stamp.FromPath(id)},
-		Fn:     fn,
-		Args:   args,
-		Parent: proto.Addr{Proc: proto.HostID},
-	}
-	r := &Request{id: id, resultCh: make(chan expr.Value, 1), rootPkt: root, rootProg: idx}
-	r.rootDest = c.pickLiveFrom(int(id) % c.n)
-	c.reqs[id] = r
-	dest := r.rootDest
-	c.reqMu.Unlock()
-	c.spawned.Add(1)
-	c.countFrame(proto.FrameSpawn, len(spawnPayload(idx, root)))
-	c.sendSpawn(dest, idx, root, 0)
-	return r, nil
-}
+// Alive implements wall.Links.
+func (c *Cluster) Alive(i int) bool { return c.children[i].alive.Load() }
 
-// sendSpawn writes a spawn frame to a child; a dead destination black-holes
-// it (the dead processor of §3 — the parent's checkpoint is what recovers
-// the work, not the interconnect).
-func (c *Cluster) sendSpawn(dest proto.ProcID, idx uint16, pkt *proto.TaskPacket, flags byte) {
+// SendRoot implements wall.Links: a spawn frame from the supervisor; a dead
+// destination black-holes it (the dead processor of §3 — the super-root's
+// checkpoint is what recovers the work, not the interconnect).
+func (c *Cluster) SendRoot(dest int, pkt *node.Packet, reissue bool) {
+	var flags byte
+	if reissue {
+		flags = proto.FlagReissue
+	}
+	payload := spawnPayload(pkt.TaskPacket)
+	c.countFrame(proto.FrameSpawn, len(payload))
 	ch := c.children[dest]
 	if !ch.alive.Load() || !ch.out.push(&proto.Frame{
-		Type: proto.FrameSpawn, Flags: flags, From: proto.HostID, To: dest,
-		Payload: spawnPayload(idx, pkt),
+		Type: proto.FrameSpawn, Flags: flags, From: proto.HostID, To: proto.ProcID(dest),
+		Payload: payload,
 	}) {
-		c.drained.Add(1)
+		c.Drained.Add(1)
 	}
 }
 
 // countFrame charges one protocol message at its real frame wire size.
 func (c *Cluster) countFrame(t proto.FrameType, payloadLen int) {
-	c.msgs.Add(1)
-	c.msgBytes.Add(int64(proto.FrameHeaderSize + payloadLen))
+	c.Msgs.Add(1)
+	c.MsgBytes.Add(int64(proto.FrameHeaderSize + payloadLen))
 }
 
 // route is the per-child reader: count and forward protocol frames, absorb
@@ -424,22 +357,26 @@ func (c *Cluster) route(ch *child) {
 			if drained, _, err := parseStats(f.Payload); err == nil {
 				// Reissues are already counted from FlagReissue frames;
 				// only the child-local drain count is news.
-				c.drained.Add(drained)
+				c.Drained.Add(drained)
 			}
 		case proto.FrameResult:
 			c.countFrame(f.Type, len(f.Payload))
 			if f.To == proto.HostID {
-				c.onRootResult(f.Payload)
+				if res, err := proto.DecodeResult(f.Payload); err == nil {
+					c.Deliver(res)
+				} else {
+					c.Drained.Add(1)
+				}
 				continue
 			}
 			c.forward(f)
 		case proto.FrameSpawn:
 			c.countFrame(f.Type, len(f.Payload))
 			if f.Flags&proto.FlagReissue != 0 {
-				c.reissued.Add(1)
+				c.Reissued.Add(1)
 				ch.reissues.Add(1)
 			} else {
-				c.spawned.Add(1)
+				c.Spawned.Add(1)
 			}
 			c.forward(f)
 		default:
@@ -452,44 +389,12 @@ func (c *Cluster) route(ch *child) {
 // forward relays a child-to-child frame; dead destinations black-hole it.
 func (c *Cluster) forward(f *proto.Frame) {
 	if f.To < 0 || int(f.To) >= c.n {
-		c.drained.Add(1)
+		c.Drained.Add(1)
 		return
 	}
 	dest := c.children[f.To]
 	if !dest.alive.Load() || !dest.out.push(f) {
-		c.drained.Add(1)
-	}
-}
-
-// onRootResult delivers a root answer to its request and frees the
-// admission slot on the first delivery (a reissued root may answer twice;
-// determinacy says the answers match).
-func (c *Cluster) onRootResult(payload []byte) {
-	res, err := proto.DecodeResult(payload)
-	if err != nil {
-		c.drained.Add(1)
-		return
-	}
-	id := res.Child.Stamp.Component(0)
-	c.reqMu.Lock()
-	r := c.reqs[id]
-	first := r != nil && !r.done
-	if first {
-		r.done = true
-		r.doneAt = time.Now()
-	}
-	hook := c.onReqDone
-	c.reqMu.Unlock()
-	if r == nil {
-		c.drained.Add(1)
-		return
-	}
-	select {
-	case r.resultCh <- res.Value:
-	default:
-	}
-	if first && hook != nil {
-		hook()
+		c.Drained.Add(1)
 	}
 }
 
@@ -518,28 +423,7 @@ func (c *Cluster) nodeDied(ch *child) {
 			Payload: payload,
 		})
 	}
-	// The cluster is every root's parent: reissue each outstanding
-	// request's root that was placed on the dead node.
-	c.reqMu.Lock()
-	type rootReissue struct {
-		dest proto.ProcID
-		idx  uint16
-		pkt  *proto.TaskPacket
-	}
-	var reissues []rootReissue
-	for _, r := range c.reqs {
-		if r.done || r.rootDest != proto.ProcID(ch.id) {
-			continue
-		}
-		r.rootDest = c.pickLiveAvoid(ch.id)
-		reissues = append(reissues, rootReissue{r.rootDest, r.rootProg, r.rootPkt})
-	}
-	c.reqMu.Unlock()
-	for _, ri := range reissues {
-		c.reissued.Add(1)
-		c.countFrame(proto.FrameSpawn, len(spawnPayload(ri.idx, ri.pkt)))
-		c.sendSpawn(ri.dest, ri.idx, ri.pkt, proto.FlagReissue)
-	}
+	c.NodeDied(ch.id)
 }
 
 // Kill crashes node id with SIGKILL — no cooperative path. Death detection
@@ -552,41 +436,7 @@ func (c *Cluster) Kill(id int) error {
 	if !ch.alive.Load() {
 		return fmt.Errorf("netnode: node %d already dead", id)
 	}
-	c.killsSeen.Add(1)
 	return ch.cmd.Kill()
-}
-
-// pickLiveFrom scans round-robin from start for a live node.
-func (c *Cluster) pickLiveFrom(start int) proto.ProcID {
-	for i := 0; i < c.n; i++ {
-		if d := (start + i) % c.n; c.children[d].alive.Load() {
-			return proto.ProcID(d)
-		}
-	}
-	return proto.ProcID(start)
-}
-
-// pickLiveAvoid chooses any live node other than avoid (falls back to 0).
-func (c *Cluster) pickLiveAvoid(avoid int) proto.ProcID {
-	for i, ch := range c.children {
-		if i != avoid && ch.alive.Load() {
-			return proto.ProcID(i)
-		}
-	}
-	return 0
-}
-
-// WaitRequest blocks until the request's answer arrives or the timeout
-// elapses.
-func (c *Cluster) WaitRequest(r *Request, timeout time.Duration) (expr.Value, error) {
-	select {
-	case v := <-r.resultCh:
-		return v, nil
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("netnode: request %d: no answer after %v", r.id, timeout)
-	case <-c.quit:
-		return nil, errors.New("netnode: cluster shut down")
-	}
 }
 
 // Shutdown tears the cluster down: graceful stats+exit for live children,
@@ -614,7 +464,7 @@ func (c *Cluster) Shutdown() {
 		}
 	}
 	c.teardown()
-	close(c.quit)
+	c.Stop()
 	c.wg.Wait()
 }
 
@@ -636,17 +486,6 @@ func (c *Cluster) teardown() {
 		os.RemoveAll(c.dir)
 	}
 }
-
-// Stats reports the stream counters.
-func (c *Cluster) Stats() (spawned, reissued, drained int64) {
-	return c.spawned.Load(), c.reissued.Load(), c.drained.Load()
-}
-
-// Messages is the number of protocol frames the router carried.
-func (c *Cluster) Messages() int64 { return c.msgs.Load() }
-
-// MsgBytes is the frame wire bytes of Messages.
-func (c *Cluster) MsgBytes() int64 { return c.msgBytes.Load() }
 
 // ReissuesByNode reports how many retained child packets each node re-sent
 // as a parent after peer deaths (router-attributed, so it survives the

@@ -15,9 +15,11 @@
 // graceful shutdown. Fault injection SIGKILLs the child's PID — the
 // supervisor learns of the death the way a real cluster does, by the
 // connection breaking — and recovery is the per-parent rollback reissue of
-// §3, exactly as on the live goroutine backend: every parent retains the
-// packets of the children it placed (the functional checkpoints) and
-// re-disperses the ones that were resident on the dead node.
+// §3: every parent retains the packets of the children it placed (the
+// functional checkpoints) and re-disperses the ones that were resident on
+// the dead node. Each child runs internal/node's protocol core, the one the
+// live backend runs on goroutines; the parent embeds internal/wall's
+// super-root, and the session on top is wall's too.
 //
 // Program code is resident, not shipped per packet: the parent broadcasts
 // each program's lang.Format source once (a program frame carrying an
@@ -56,11 +58,8 @@ const (
 	// NodeEnvProcs is the node count.
 	NodeEnvProcs = "APSIM_NETNODE_PROCS"
 	// NodeEnvSeed is the cluster seed; node i draws placement from
-	// seed + i*7919, mirroring the live goroutine backend.
+	// seed + i*7919 (internal/node's placement source).
 	NodeEnvSeed = "APSIM_NETNODE_SEED"
-	// NodeEnvRecover is "1" for rollback reissue, "0" for the "none" scheme
-	// (deaths are still announced; survivors just don't reissue).
-	NodeEnvRecover = "APSIM_NETNODE_RECOVER"
 	// NodeEnvEval is the evaluator name the child runs reduction passes
 	// with ("" = lang.DefaultEvaluator). Children compile each program at
 	// FrameProgram receipt, so tasks never pay compilation.
@@ -79,13 +78,13 @@ const SocketPattern = "apsim-netnode-*"
 
 // childEnv reads the environment contract; ok is false when NodeEnvID is
 // absent (a normal, non-child invocation).
-func childEnv() (id, procs int, seed int64, network, addr string, recover_ bool, eval string, ok bool, err error) {
+func childEnv() (id, procs int, seed int64, network, addr, eval string, ok bool, err error) {
 	idStr := os.Getenv(NodeEnvID)
 	if idStr == "" {
-		return 0, 0, 0, "", "", false, "", false, nil
+		return 0, 0, 0, "", "", "", false, nil
 	}
-	fail := func(e error) (int, int, int64, string, string, bool, string, bool, error) {
-		return 0, 0, 0, "", "", false, "", true, e
+	fail := func(e error) (int, int, int64, string, string, string, bool, error) {
+		return 0, 0, 0, "", "", "", true, e
 	}
 	if id, err = strconv.Atoi(idStr); err != nil {
 		return fail(fmt.Errorf("netnode: bad %s: %v", NodeEnvID, err))
@@ -100,7 +99,6 @@ func childEnv() (id, procs int, seed int64, network, addr string, recover_ bool,
 	if err != nil {
 		return fail(err)
 	}
-	recover_ = os.Getenv(NodeEnvRecover) != "0"
 	eval = os.Getenv(NodeEnvEval)
 	if eval == "" {
 		eval = lang.DefaultEvaluator
@@ -108,7 +106,7 @@ func childEnv() (id, procs int, seed int64, network, addr string, recover_ bool,
 	if !lang.KnownEvaluator(eval) {
 		return fail(fmt.Errorf("netnode: bad %s %q", NodeEnvEval, os.Getenv(NodeEnvEval)))
 	}
-	return id, procs, seed, network, addr, recover_, eval, true, nil
+	return id, procs, seed, network, addr, eval, true, nil
 }
 
 // splitAddr parses "unix:PATH" / "tcp:HOSTPORT".
@@ -155,17 +153,23 @@ func parseProgram(p []byte) (idx uint16, src string, err error) {
 	return binary.BigEndian.Uint16(p), string(p[2:]), nil
 }
 
-func spawnPayload(idx uint16, pkt *proto.TaskPacket) []byte {
-	buf := binary.BigEndian.AppendUint16(nil, idx)
+// spawnPayload encodes the packet after its program index (pkt.Prog, which
+// the packet codec leaves out).
+func spawnPayload(pkt *proto.TaskPacket) []byte {
+	buf := binary.BigEndian.AppendUint16(nil, uint16(pkt.Prog))
 	return append(buf, proto.EncodePacket(pkt)...)
 }
 
-func parseSpawn(p []byte) (idx uint16, pkt *proto.TaskPacket, err error) {
+func parseSpawn(p []byte) (*proto.TaskPacket, error) {
 	if len(p) < 2 {
-		return 0, nil, fmt.Errorf("netnode: spawn payload %d bytes", len(p))
+		return nil, fmt.Errorf("netnode: spawn payload %d bytes", len(p))
 	}
-	pkt, err = proto.DecodePacket(p[2:])
-	return binary.BigEndian.Uint16(p), pkt, err
+	pkt, err := proto.DecodePacket(p[2:])
+	if err != nil {
+		return nil, err
+	}
+	pkt.Prog = int(binary.BigEndian.Uint16(p))
+	return pkt, nil
 }
 
 func nodeDownPayload(dead int) []byte {

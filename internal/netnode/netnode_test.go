@@ -17,8 +17,8 @@ import (
 	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/lang"
-	"repro/internal/machine"
 	"repro/internal/proto"
+	"repro/internal/wall"
 )
 
 // testParentEnv marks a re-exec of the test binary as the disposable parent
@@ -130,8 +130,8 @@ func TestClusterFaultFree(t *testing.T) {
 	if reissued != 0 {
 		t.Errorf("fault-free run reissued %d packets", reissued)
 	}
-	if c.Messages() == 0 || c.MsgBytes() <= c.Messages()*proto.FrameHeaderSize/2 {
-		t.Errorf("byte accounting implausible: %d msgs, %d bytes", c.Messages(), c.MsgBytes())
+	if msgs, bytes := c.Msgs.Load(), c.MsgBytes.Load(); msgs == 0 || bytes <= msgs*proto.FrameHeaderSize/2 {
+		t.Errorf("byte accounting implausible: %d msgs, %d bytes", msgs, bytes)
 	}
 }
 
@@ -207,7 +207,7 @@ func TestClusterRootReissue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	var reqs []*Request
+	var reqs []*wall.Request
 	for i := 0; i < 4; i++ {
 		r, err := c.Submit(prog, "fib", []expr.Value{expr.VInt(11)})
 		if err != nil {
@@ -262,12 +262,19 @@ func TestKillValidation(t *testing.T) {
 // TestNoOrphansAfterClose opens a net session through the public backend,
 // runs a request, closes — and requires every node process gone.
 func TestNoOrphansAfterClose(t *testing.T) {
-	b := &Backend{Deadline: 20 * time.Second}
-	sess, err := b.Open(core.Config{Procs: 4, Seed: 1})
+	sp := (&Backend{Deadline: 20 * time.Second}).spec()
+	var c *Cluster
+	start := sp.Start
+	sp.Start = func(p wall.Params) (wall.Cluster, error) {
+		cl, err := start(p)
+		c, _ = cl.(*Cluster)
+		return cl, err
+	}
+	sess, err := sp.Open(core.Config{Procs: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pids := sess.(*session).c.Pids()
+	pids := c.Pids()
 	w, err := core.StandardWorkload("fib:10")
 	if err != nil {
 		t.Fatal(err)
@@ -385,104 +392,6 @@ func TestNetServiceStream(t *testing.T) {
 	}
 }
 
-// TestNetAdmissionQueue bounds concurrency at one slot: queued requests are
-// admitted in order as slots free and all complete.
-func TestNetAdmissionQueue(t *testing.T) {
-	b := &Backend{Deadline: 20 * time.Second}
-	sess, err := b.Open(core.Config{Procs: 3, Seed: 2, MaxInFlight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	w, err := core.StandardWorkload("fib:9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reqs []core.SessionRequest
-	for i := 0; i < 3; i++ {
-		req, err := sess.Submit(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs = append(reqs, req)
-	}
-	for i, req := range reqs {
-		rep, err := req.Wait()
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		if !rep.Completed {
-			t.Fatalf("request %d not completed: %+v", i, rep)
-		}
-	}
-	rep, err := sess.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.QueueDepthMax < 1 {
-		t.Fatalf("queue depth max = %d, want >= 1", rep.QueueDepthMax)
-	}
-}
-
-// TestNetAdmissionShed drops overload instead of queueing it.
-func TestNetAdmissionShed(t *testing.T) {
-	b := &Backend{Deadline: 20 * time.Second}
-	sess, err := b.Open(core.Config{Procs: 3, Seed: 2, MaxInFlight: 1, Admission: "shed"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	w, err := core.StandardWorkload("fib:12")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Submit(w); err != nil {
-		t.Fatal(err)
-	}
-	req2, err := sess.Submit(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := req2.Wait()
-	if err != core.ErrShed {
-		t.Fatalf("overload wait = %v, want core.ErrShed", err)
-	}
-	if !rep.Shed || rep.Completed {
-		t.Fatalf("shed report wrong: %+v", rep)
-	}
-}
-
-func TestNetRejectsUnsupportedConfigs(t *testing.T) {
-	w, err := core.StandardWorkload("fib:8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := &Backend{Deadline: 20 * time.Second}
-	cases := []struct {
-		cfg  core.Config
-		plan *faults.Plan
-		want string
-	}{
-		{core.Config{Recovery: "splice"}, nil, "recovery"},
-		{core.Config{Placement: "gradient"}, nil, "placement"},
-		{core.Config{Replication: map[string]int{"work": 3}}, nil, "replication"},
-		{core.Config{DisableCheckpoints: true}, nil, "checkpoints"},
-		{core.Config{Raw: &machine.Config{}}, nil, "Raw"},
-		{core.Config{RecoveryBudget: 2}, nil, "budget"},
-		{core.Config{RecoveryPeriod: 4}, nil, "budget"},
-		{core.Config{Admission: "lifo"}, nil, "admission"},
-		{core.Config{}, &faults.Plan{Faults: []faults.Fault{{At: 1, Proc: 0, Kind: faults.Corrupt}}}, "corruption"},
-		{core.Config{Procs: 2}, faults.Burst(2, 2, 1, faults.CrashAnnounced, 1), "survive"},
-		{core.Config{}, faults.Crash(proto.ProcID(99), 1, true), "out of range"},
-	}
-	for _, tc := range cases {
-		_, err := short.Run(tc.cfg, w, tc.plan)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("cfg %+v: err = %v, want containing %q", tc.cfg, err, tc.want)
-		}
-	}
-}
-
 // TestNetMatchesSimAnswer runs the same workload on the simulator and the
 // process cluster and requires identical answers — the cross-substrate
 // determinacy claim the L5 artifact generalizes.
@@ -511,28 +420,5 @@ func TestNetMatchesSimAnswer(t *testing.T) {
 	}
 	if len(netRep.ReissuesByNode) != 4 {
 		t.Fatalf("per-node stats = %v, want 4 entries", netRep.ReissuesByNode)
-	}
-}
-
-// TestNetMakespanStampedAtDelivery: a request's completion time is when its
-// answer reached the hub, not when the caller got round to Wait.
-func TestNetMakespanStampedAtDelivery(t *testing.T) {
-	const late = 200 * time.Millisecond
-	cl, err := core.OpenOn("net", core.Config{Procs: 3, Seed: 3, Recovery: "rollback"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	tk, err := cl.SubmitSpec("fib:5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(late)
-	rep, err := tk.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Makespan >= (late / 2).Microseconds() {
-		t.Fatalf("makespan %d µs includes the caller's %v delay before Wait", rep.Makespan, late)
 	}
 }
